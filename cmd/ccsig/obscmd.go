@@ -112,7 +112,7 @@ func traceCmd(args []string) {
 			rec := &capt.Records[i]
 			if rec.Dir == netem.DirOut && rec.Pkt.IsData() {
 				ip := pcap.ServerIP(rec.Pkt.Flow.SrcAddr)
-				fmt.Fprintf(os.Stderr, "pcap server=%s\n", ipString4(ip))
+				fmt.Fprintf(os.Stderr, "pcap server=%s\n", pcap.FormatIPv4(ip))
 				break
 			}
 		}

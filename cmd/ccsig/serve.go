@@ -5,13 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/netip"
 	"os"
-	"sync"
 	"time"
 
 	"tcpsig"
-	"tcpsig/internal/netem"
 	"tcpsig/internal/pcap"
 	"tcpsig/internal/stream"
 	"tcpsig/internal/telemetry"
@@ -80,16 +77,6 @@ func writeVerdictNDJSON(w io.Writer, fv tcpsig.FlowVerdict) error {
 	return err
 }
 
-// serveIPv4 parses a dotted-quad address for direction orientation.
-func serveIPv4(s string) (uint32, error) {
-	addr, err := netip.ParseAddr(s)
-	if err != nil || !addr.Is4() {
-		return 0, fmt.Errorf("bad IPv4 %q", s)
-	}
-	b := addr.As4()
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3]), nil
-}
-
 func serveCmd(args []string) {
 	fs := newFlagSet("serve", "[-model model.json] -server IPv4 [-max-flows N] [-shards N] [-buffer N] [-replay] [-speed F] [-o out.ndjson] [-admin ADDR] [trace.pcap | -]")
 	modelPath := fs.String("model", "", "model file from 'ccsig train' (default: train a quick model)")
@@ -111,7 +98,7 @@ func serveCmd(args []string) {
 	if *speed <= 0 {
 		badUsage(fs, "-speed must be positive")
 	}
-	ip, err := serveIPv4(*server)
+	ip, err := pcap.ParseIPv4(*server)
 	if err != nil {
 		badUsage(fs, err.Error())
 	}
@@ -156,32 +143,10 @@ func serveCmd(args []string) {
 	admin := startAdmin(*adminAddr)
 	defer admin.Close()
 
-	// The original-address map mirrors ClassifyPcap: emulator flow keys
-	// truncate addresses to 24 bits, the map restores full dotted quads.
-	// The reader goroutine writes it while the pump's drain goroutine
-	// reads it in Emit, hence the lock.
-	const maxFlowIPs = 1 << 16
-	fullIPs := make(map[netem.FlowKey][2]uint32)
-	var ipMu sync.Mutex
-
 	var writeErr error
 	verdicts := 0
 	emit := func(res stream.FlowResult) {
-		fv := tcpsig.FlowVerdict{
-			SrcIP:   ipString4(uint32(res.Flow.SrcAddr)),
-			SrcPort: uint16(res.Flow.SrcPort),
-			DstIP:   ipString4(uint32(res.Flow.DstAddr)),
-			DstPort: uint16(res.Flow.DstPort),
-			Verdict: res.Verdict,
-			Err:     res.Err,
-		}
-		ipMu.Lock()
-		ips, ok := fullIPs[res.Flow]
-		ipMu.Unlock()
-		if ok {
-			fv.SrcIP, fv.DstIP = ipString4(ips[0]), ipString4(ips[1])
-		}
-		if err := writeVerdictNDJSON(bw, fv); err != nil && writeErr == nil {
+		if err := writeVerdictNDJSON(bw, tcpsig.FlowVerdictOf(res)); err != nil && writeErr == nil {
 			writeErr = err
 		}
 		verdicts++
@@ -218,17 +183,6 @@ func serveCmd(args []string) {
 			break
 		}
 		records++
-		key := netem.FlowKey{
-			SrcAddr: pcap.IPToAddr(rec.SrcIP),
-			DstAddr: pcap.IPToAddr(rec.DstIP),
-			SrcPort: netem.Port(rec.SrcPort),
-			DstPort: netem.Port(rec.DstPort),
-		}
-		ipMu.Lock()
-		if _, ok := fullIPs[key]; !ok && len(fullIPs) < maxFlowIPs {
-			fullIPs[key] = [2]uint32{rec.SrcIP, rec.DstIP}
-		}
-		ipMu.Unlock()
 		crec := pcap.RecordToCapture(rec, ip)
 		if *replay {
 			if !first {
@@ -254,8 +208,8 @@ func serveCmd(args []string) {
 		}
 	}
 
-	fmt.Fprintf(os.Stderr, "serve: records=%d verdicts=%d evicted=%d ingest-dropped=%d\n",
-		records, verdicts, table.EvictedFlows(), pump.Dropped())
+	fmt.Fprintf(os.Stderr, "serve: records=%d verdicts=%d evicted=%d ingest-dropped=%d skipped=%d\n",
+		records, verdicts, table.EvictedFlows(), pump.Dropped(), rd.Skipped())
 	exit := 0
 	if readErr != nil {
 		fmt.Fprintln(os.Stderr, "ccsig serve:", readErr)
@@ -266,9 +220,4 @@ func serveCmd(args []string) {
 		exit = 1
 	}
 	os.Exit(exit)
-}
-
-// ipString4 renders a 32-bit IPv4 address as a dotted quad.
-func ipString4(ip uint32) string {
-	return fmt.Sprintf("%d.%d.%d.%d", ip>>24, ip>>16&0xff, ip>>8&0xff, ip&0xff)
 }

@@ -2,7 +2,9 @@ package tcpsig
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -63,7 +65,7 @@ func TestWriteExamplesCSVEdgeCases(t *testing.T) {
 
 // multiFlowPcap builds a server-side capture with n clean download flows of
 // the given number of data/ACK rounds each (same shape as synthPcap).
-func multiFlowPcap(t *testing.T, n, rounds int) []byte {
+func multiFlowPcap(t testing.TB, n, rounds int) []byte {
 	t.Helper()
 	capt := &netem.Capture{}
 	for f := 0; f < n; f++ {
@@ -93,8 +95,40 @@ func multiFlowPcap(t *testing.T, n, rounds int) []byte {
 	return buf.Bytes()
 }
 
+// multiFlowClient is the client address multiFlowPcap's writer gives every
+// flow (emulator address 1 in 10.0.0.0/8).
+const multiFlowClient = 10<<24 | 1
+
+// rewriteClient returns a copy of the capture file raw in which the flow on
+// client port port has its client address from replaced by to. It relies
+// on the writer's fixed frame layout (Ethernet, 20-byte IPv4, TCP).
+func rewriteClient(raw []byte, port uint16, from, to uint32) []byte {
+	out := append([]byte(nil), raw...)
+	for off := 24; off+16 <= len(out); {
+		incl := int(binary.LittleEndian.Uint32(out[off+8:]))
+		ip := out[off+16+pcap.EthernetHeaderLen : off+16+incl]
+		off += 16 + incl
+		tcp := ip[pcap.IPv4HeaderLen:]
+		// Source address and port, then destination address and port.
+		for i := 0; i < 2; i++ {
+			if binary.BigEndian.Uint32(ip[12+4*i:]) == from && binary.BigEndian.Uint16(tcp[2*i:]) == port {
+				binary.BigEndian.PutUint32(ip[12+4*i:], to)
+			}
+		}
+	}
+	return out
+}
+
+// twinFlowPcap is multiFlowPcap(t, 3, 14) plus a copy of its first flow
+// whose client is rewritten from 10.0.0.1 to 77.0.0.1: four flows, two of
+// which differ only in the first octet of the client address.
+func twinFlowPcap(t testing.TB) []byte {
+	twin := rewriteClient(multiFlowPcap(t, 1, 14), 40000, multiFlowClient, 77<<24|1)
+	return append(multiFlowPcap(t, 3, 14), twin[24:]...)
+}
+
 func TestSummarizePcapEdgeCases(t *testing.T) {
-	server := ipString(pcap.ServerIP(2))
+	server := pcap.FormatIPv4(pcap.ServerIP(2))
 	cases := []struct {
 		name      string
 		pcap      func(t *testing.T) []byte
@@ -103,6 +137,10 @@ func TestSummarizePcapEdgeCases(t *testing.T) {
 		wantFlows int
 		// wantValid counts summaries with FeaturesValid set.
 		wantValid int
+		// wantClients, when set, lists every flow's client "ip:port" in
+		// first-appearance order, as both SummarizePcap and ClassifyPcap
+		// must report it.
+		wantClients []string
 	}{
 		{
 			name:     "bad server IP",
@@ -131,21 +169,46 @@ func TestSummarizePcapEdgeCases(t *testing.T) {
 			wantFlows: 3,
 			wantValid: 0,
 		},
+		{
+			// Two clients differing only in the first octet, same ports:
+			// distinct flows, each reported with its own address.
+			name:        "clients differing only in the first octet",
+			pcap:        func(t *testing.T) []byte { return twinFlowPcap(t) },
+			serverIP:    server,
+			wantFlows:   4,
+			wantValid:   4,
+			wantClients: []string{"10.0.0.1:40000", "10.0.0.1:40001", "10.0.0.1:40002", "77.0.0.1:40000"},
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			summaries, err := SummarizePcap(bytes.NewReader(c.pcap(t)), c.serverIP)
+			raw := c.pcap(t)
+			verdicts, verr := toyClassifier(t).ClassifyPcap(bytes.NewReader(raw), c.serverIP)
+			summaries, err := SummarizePcap(bytes.NewReader(raw), c.serverIP)
 			if c.wantErr {
-				if err == nil {
-					t.Fatal("want error")
+				if err == nil || verr == nil {
+					t.Fatalf("want errors, got %v and %v", err, verr)
 				}
 				return
 			}
-			if err != nil {
-				t.Fatal(err)
+			if err != nil || verr != nil {
+				t.Fatal(err, verr)
 			}
-			if len(summaries) != c.wantFlows {
-				t.Fatalf("flows = %d, want %d", len(summaries), c.wantFlows)
+			if len(summaries) != c.wantFlows || len(verdicts) != c.wantFlows {
+				t.Fatalf("flows = %d summarized, %d classified, want %d", len(summaries), len(verdicts), c.wantFlows)
+			}
+			for i, s := range summaries {
+				fv := verdicts[i]
+				if s.SrcIP != c.serverIP || fv.SrcIP != c.serverIP {
+					t.Fatalf("flow %d server = %s / %s, want %s", i, s.SrcIP, fv.SrcIP, c.serverIP)
+				}
+				got := fmt.Sprintf("%s:%d", s.DstIP, s.DstPort)
+				if v := fmt.Sprintf("%s:%d", fv.DstIP, fv.DstPort); v != got {
+					t.Fatalf("flow %d client summarized as %s, classified as %s", i, got, v)
+				}
+				if c.wantClients != nil && got != c.wantClients[i] {
+					t.Fatalf("flow %d client = %s, want %s", i, got, c.wantClients[i])
+				}
 			}
 			valid := 0
 			for _, s := range summaries {
@@ -168,7 +231,7 @@ func TestSummarizePcapEdgeCases(t *testing.T) {
 // each carrying the typed error and a degraded confidence.
 func TestClassifyPcapAllDegradedVerdicts(t *testing.T) {
 	c := toyClassifier(t)
-	verdicts, err := c.ClassifyPcap(bytes.NewReader(multiFlowPcap(t, 3, 5)), ipString(pcap.ServerIP(2)))
+	verdicts, err := c.ClassifyPcap(bytes.NewReader(multiFlowPcap(t, 3, 5)), pcap.FormatIPv4(pcap.ServerIP(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +257,7 @@ func TestClassifyPcapAllDegradedVerdicts(t *testing.T) {
 // TestClassifyPcapEmptyCapture: no flows, no verdicts, no error.
 func TestClassifyPcapEmptyCapture(t *testing.T) {
 	c := toyClassifier(t)
-	verdicts, err := c.ClassifyPcap(bytes.NewReader(multiFlowPcap(t, 0, 0)), ipString(pcap.ServerIP(2)))
+	verdicts, err := c.ClassifyPcap(bytes.NewReader(multiFlowPcap(t, 0, 0)), pcap.FormatIPv4(pcap.ServerIP(2)))
 	if err != nil {
 		t.Fatal(err)
 	}

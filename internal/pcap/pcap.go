@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net/netip"
 	"time"
 
 	"tcpsig/internal/netem"
@@ -52,11 +53,36 @@ func (w *Writer) writeHeader() error {
 	return err
 }
 
-// addrToIP maps an emulator address into 10.0.0.0/8.
-func addrToIP(a netem.Addr) uint32 { return 0x0a000000 | uint32(a)&0x00ffffff }
+// addrToIP maps an emulator address into 10.0.0.0/8: its low 24 bits
+// become the host part. Only Writer applies the mapping; reading a file
+// back keys flows on the full address, so a written emulator flow is keyed
+// on IPToAddr(addrToIP(a)), not on a.
+func addrToIP(a netem.Addr) uint32 { return 10<<24 | uint32(a)&(1<<24-1) }
 
-// IPToAddr inverts addrToIP for files we wrote ourselves.
-func IPToAddr(ip uint32) netem.Addr { return netem.Addr(ip & 0x00ffffff) }
+// IPToAddr returns the flow-key address of a capture IPv4 address: all 32
+// bits, so flows that differ in any octet never share a key. Emulator
+// addresses come back through addrToIP's 10.0.0.0/8 mapping, i.e. as
+// IPToAddr(ServerIP(a)).
+func IPToAddr(ip uint32) netem.Addr { return netem.Addr(ip) }
+
+// ParseIPv4 parses a dotted-quad address into its capture form.
+func ParseIPv4(s string) (uint32, error) {
+	// netip.ParseAddr rejects trailing junk, empty octets and out-of-range
+	// values that fmt.Sscanf-style parsing silently accepts.
+	addr, err := netip.ParseAddr(s)
+	if err != nil || !addr.Is4() {
+		return 0, fmt.Errorf("%w %q", ErrBadIPv4, s)
+	}
+	b := addr.As4()
+	return binary.BigEndian.Uint32(b[:]), nil
+}
+
+// FormatIPv4 renders a capture IPv4 address as a dotted quad.
+func FormatIPv4(ip uint32) string {
+	var b [4]byte
+	binary.BigEndian.PutUint32(b[:], ip)
+	return netip.AddrFrom4(b).String()
+}
 
 // WritePacket appends one emulator packet at time ts. Payload bytes are not
 // stored (zero snap beyond headers), like a tcpdump -s 54 capture; the IP
@@ -175,6 +201,10 @@ var (
 	// ErrUnsupportedLinkType marks well-formed files whose frames are not
 	// Ethernet, the only link layer the parser understands.
 	ErrUnsupportedLinkType = errors.New("pcap: unsupported link type")
+
+	// ErrBadIPv4 marks an address string that is not a dotted-quad IPv4
+	// address.
+	ErrBadIPv4 = errors.New("bad IPv4")
 )
 
 // Reader parses libpcap files of Ethernet/IPv4/TCP frames. Both
@@ -190,6 +220,7 @@ type Reader struct {
 	haveT0  bool
 	snapLen uint32
 	buf     []byte
+	skipped int
 }
 
 // NewReader wraps r.
@@ -227,8 +258,8 @@ func (r *Reader) readHeader() error {
 	return nil
 }
 
-// Next returns the next TCP record, io.EOF at end of file. Non-IPv4/TCP
-// frames are skipped.
+// Next returns the next TCP record, io.EOF at end of file. Frames that are
+// not IPv4/TCP, or fail to decode, are skipped and counted in Skipped.
 func (r *Reader) Next() (Record, error) {
 	if !r.started {
 		if err := r.readHeader(); err != nil {
@@ -264,7 +295,8 @@ func (r *Reader) Next() (Record, error) {
 		}
 		out, err := decodeFrame(frame)
 		if err != nil {
-			continue // skip non-TCP frames
+			r.skipped++
+			continue
 		}
 		frac := time.Duration(usec) * time.Microsecond
 		if r.nanos {
@@ -279,6 +311,10 @@ func (r *Reader) Next() (Record, error) {
 		return out, nil
 	}
 }
+
+// Skipped returns the number of frames Next has passed over so far because
+// they were not IPv4/TCP or failed to decode.
+func (r *Reader) Skipped() int { return r.skipped }
 
 func decodeFrame(frame []byte) (Record, error) {
 	var eth Ethernet
@@ -389,6 +425,6 @@ func ToCapture(records []Record, serverIP uint32) *netem.Capture {
 	return c
 }
 
-// ServerIP returns the pcap-file IP corresponding to an emulator address,
-// for use with ToCapture on files produced by Writer.
+// ServerIP returns the pcap-file IP Writer gives an emulator address, for
+// use with ToCapture on files produced by Writer.
 func ServerIP(a netem.Addr) uint32 { return addrToIP(a) }

@@ -129,14 +129,45 @@ func TestFileRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Round trip back into a capture preserving directions.
+	// Round trip back into a capture preserving directions. Read-back keys
+	// carry the full address the writer mapped each emulator address to.
 	back := ToCapture(recs, ServerIP(2))
 	for i := range back.Records {
 		if back.Records[i].Dir != capt.Records[i].Dir {
 			t.Fatalf("record %d direction flipped", i)
 		}
-		if back.Records[i].Pkt.Flow != capt.Records[i].Pkt.Flow {
-			t.Fatalf("record %d flow mismatch", i)
+		want := capt.Records[i].Pkt.Flow
+		want.SrcAddr = IPToAddr(ServerIP(want.SrcAddr))
+		want.DstAddr = IPToAddr(ServerIP(want.DstAddr))
+		if got := back.Records[i].Pkt.Flow; got != want {
+			t.Fatalf("record %d flow %+v, want %+v", i, got, want)
+		}
+	}
+}
+
+func TestParseIPv4(t *testing.T) {
+	ip, err := ParseIPv4("10.0.0.2")
+	if err != nil || ip != 0x0a000002 {
+		t.Fatalf("ParseIPv4(10.0.0.2) = %#x, %v", ip, err)
+	}
+	bad := []string{
+		"", "1.2.3", "256.1.1.1", "a.b.c.d",
+		// Trailing junk and variants fmt.Sscanf-style parsing accepted.
+		"1.2.3.4junk", "1.2.3.4.5", " 1.2.3.4", "1.2.3.4 ",
+		"::1", "::ffff:1.2.3.4", "01.2.3.4",
+	}
+	for _, s := range bad {
+		if _, err := ParseIPv4(s); err == nil {
+			t.Fatalf("%q accepted", s)
+		}
+	}
+	for _, s := range []string{"10.0.1.2", "0.0.0.0", "255.255.255.255", "77.0.0.1"} {
+		ip, err := ParseIPv4(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := FormatIPv4(ip); got != s {
+			t.Fatalf("FormatIPv4(ParseIPv4(%s)) = %s", s, got)
 		}
 	}
 }

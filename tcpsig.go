@@ -20,7 +20,6 @@ package tcpsig
 import (
 	"fmt"
 	"io"
-	"net/netip"
 	"os"
 	"time"
 
@@ -244,19 +243,13 @@ func (c *Classifier) ClassifyPcapFile(path string, serverIPv4 string) ([]FlowVer
 // yields verdicts for the flows read up to that point, alongside an error
 // matching ErrCorruptTrace.
 func (c *Classifier) ClassifyPcap(r io.Reader, serverIPv4 string) ([]FlowVerdict, error) {
-	ip, err := parseIPv4(serverIPv4)
+	ip, err := pcap.ParseIPv4(serverIPv4)
 	if err != nil {
 		return nil, err
 	}
-	// maxFlowIPs bounds the original-address map: emulator flow keys
-	// truncate addresses to 24 bits, so the map exists only to report
-	// untruncated dotted quads and must not grow without bound on a
-	// hostile capture cycling through addresses.
-	const maxFlowIPs = 1 << 16
 	rd := pcap.NewReader(r)
 	var (
-		results []stream.FlowResult
-		fullIPs = make(map[netem.FlowKey][2]uint32)
+		out     []FlowVerdict
 		readErr error
 	)
 	// FullInfo mode: verdicts are computed at Flush from each flow's
@@ -265,7 +258,7 @@ func (c *Classifier) ClassifyPcap(r io.Reader, serverIPv4 string) ([]FlowVerdict
 	table := stream.NewTable(stream.Config{
 		Classifier: c.inner,
 		FullInfo:   true,
-		Emit:       func(res stream.FlowResult) { results = append(results, res) },
+		Emit:       func(res stream.FlowResult) { out = append(out, FlowVerdictOf(res)) },
 	})
 	for {
 		rec, err := rd.Next()
@@ -276,35 +269,25 @@ func (c *Classifier) ClassifyPcap(r io.Reader, serverIPv4 string) ([]FlowVerdict
 			readErr = fmt.Errorf("%w: %v", ErrCorruptTrace, err)
 			break
 		}
-		key := netem.FlowKey{
-			SrcAddr: pcap.IPToAddr(rec.SrcIP),
-			DstAddr: pcap.IPToAddr(rec.DstIP),
-			SrcPort: netem.Port(rec.SrcPort),
-			DstPort: netem.Port(rec.DstPort),
-		}
-		if _, ok := fullIPs[key]; !ok && len(fullIPs) < maxFlowIPs {
-			fullIPs[key] = [2]uint32{rec.SrcIP, rec.DstIP}
-		}
 		crec := pcap.RecordToCapture(rec, ip)
 		table.Observe(&crec)
 	}
 	table.Flush()
-	var out []FlowVerdict
-	for _, res := range results {
-		fv := FlowVerdict{
-			SrcIP:   ipString(uint32(res.Flow.SrcAddr)),
-			SrcPort: uint16(res.Flow.SrcPort),
-			DstIP:   ipString(uint32(res.Flow.DstAddr)),
-			DstPort: uint16(res.Flow.DstPort),
-			Verdict: res.Verdict,
-			Err:     res.Err,
-		}
-		if ips, ok := fullIPs[res.Flow]; ok {
-			fv.SrcIP, fv.DstIP = ipString(ips[0]), ipString(ips[1])
-		}
-		out = append(out, fv)
-	}
 	return out, readErr
+}
+
+// FlowVerdictOf converts a flow-table result from a pcap capture into its
+// reported form. Module-internal like Core: `ccsig serve` reports its
+// streamed results through it, so serve and ClassifyPcap cannot drift.
+func FlowVerdictOf(res stream.FlowResult) FlowVerdict {
+	return FlowVerdict{
+		SrcIP:   pcap.FormatIPv4(uint32(res.Flow.SrcAddr)),
+		SrcPort: uint16(res.Flow.SrcPort),
+		DstIP:   pcap.FormatIPv4(uint32(res.Flow.DstAddr)),
+		DstPort: uint16(res.Flow.DstPort),
+		Verdict: res.Verdict,
+		Err:     res.Err,
+	}
 }
 
 // ClassifyCapture classifies every flow of an in-memory emulator capture.
@@ -373,19 +356,4 @@ func LoadFile(path string) (*Classifier, error) {
 	}
 	defer f.Close()
 	return Load(f)
-}
-
-func parseIPv4(s string) (uint32, error) {
-	// netip.ParseAddr rejects trailing junk, empty octets and out-of-range
-	// values that fmt.Sscanf-style parsing silently accepts.
-	addr, err := netip.ParseAddr(s)
-	if err != nil || !addr.Is4() {
-		return 0, fmt.Errorf("tcpsig: bad IPv4 %q", s)
-	}
-	b := addr.As4()
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3]), nil
-}
-
-func ipString(ip uint32) string {
-	return fmt.Sprintf("%d.%d.%d.%d", ip>>24, ip>>16&0xff, ip>>8&0xff, ip&0xff)
 }

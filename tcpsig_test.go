@@ -14,7 +14,7 @@ import (
 	"tcpsig/internal/tcpsim"
 )
 
-func toyClassifier(t *testing.T) *Classifier {
+func toyClassifier(t testing.TB) *Classifier {
 	t.Helper()
 	var ex []Example
 	for i := 0; i < 40; i++ {
@@ -115,7 +115,7 @@ func TestClassifyPcapEndToEnd(t *testing.T) {
 
 	c := toyClassifier(t)
 	serverIP := pcap.ServerIP(server.Addr())
-	verdicts, err := c.ClassifyPcapFile(path, ipString(serverIP))
+	verdicts, err := c.ClassifyPcapFile(path, pcap.FormatIPv4(serverIP))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestSummarizePcap(t *testing.T) {
 	}
 	f.Close()
 
-	summaries, err := SummarizePcapFile(path, ipString(pcap.ServerIP(server.Addr())))
+	summaries, err := SummarizePcapFile(path, pcap.FormatIPv4(pcap.ServerIP(server.Addr())))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,26 +187,6 @@ func TestSummarizePcap(t *testing.T) {
 	}
 	if s.Duration < 4*time.Second || s.BytesAcked < 5_000_000 {
 		t.Fatalf("flow totals off: %+v", s)
-	}
-}
-
-func TestParseIPv4(t *testing.T) {
-	if _, err := parseIPv4("10.0.0.2"); err != nil {
-		t.Fatal(err)
-	}
-	bad := []string{
-		"", "1.2.3", "256.1.1.1", "a.b.c.d",
-		// Trailing junk and variants fmt.Sscanf-style parsing accepted.
-		"1.2.3.4junk", "1.2.3.4.5", " 1.2.3.4", "1.2.3.4 ",
-		"::1", "::ffff:1.2.3.4", "01.2.3.4",
-	}
-	for _, s := range bad {
-		if _, err := parseIPv4(s); err == nil {
-			t.Fatalf("%q accepted", s)
-		}
-	}
-	if got := ipString(0x0a000102); got != "10.0.1.2" {
-		t.Fatalf("ipString = %s", got)
 	}
 }
 
@@ -245,7 +225,7 @@ func synthPcap(t *testing.T, rounds int) []byte {
 
 func TestClassifyPcapTruncatedTraceTypedError(t *testing.T) {
 	c := toyClassifier(t)
-	server := ipString(pcap.ServerIP(2))
+	server := pcap.FormatIPv4(pcap.ServerIP(2))
 	raw := synthPcap(t, 14)
 	// Cut the file mid-record: everything before the cut must still be
 	// classified, and the damage must surface as ErrCorruptTrace.
@@ -275,7 +255,7 @@ func TestClassifyPcapTruncatedTraceTypedError(t *testing.T) {
 
 func TestClassifyPcapDegradedVerdict(t *testing.T) {
 	c := toyClassifier(t)
-	server := ipString(pcap.ServerIP(2))
+	server := pcap.FormatIPv4(pcap.ServerIP(2))
 	// 5 round trips: below the 10-sample validity floor, but enough to
 	// compute features for a best-effort verdict.
 	verdicts, err := c.ClassifyPcap(bytes.NewReader(synthPcap(t, 5)), server)
